@@ -20,7 +20,7 @@ planning and runtime-IR emission.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
 from ..diagnostics import (
     CompositionError,
@@ -77,7 +77,14 @@ _NO_SUBSTITUTE = frozenset(
 
 @dataclass
 class ComposedModel:
-    """A fully composed concrete model plus provenance."""
+    """A fully composed concrete model plus provenance.
+
+    ``repository`` and ``sink`` are the composing session's collaborators,
+    not part of the artifact: a pickled model leaves them out (they would
+    drag every descriptor and diagnostic of the session along, making the
+    bytes depend on build order), and an unpickled one has them as None
+    until the loading session attaches its own.
+    """
 
     identifier: str
     root: ModelElement
@@ -87,6 +94,14 @@ class ComposedModel:
     unresolved: tuple[str, ...] = ()
     #: Param environments per element path, for inspection/debugging.
     environments: dict[str, dict[str, Value]] = field(default_factory=dict)
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["repository"], state["sink"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state, repository=None, sink=None)
 
     def count(self, kind: str) -> int:
         return sum(1 for e in self.root.walk() if e.kind == kind)

@@ -129,6 +129,10 @@ class DiagnosticSink:
         sources: dict[str, SourceText] | None = None,
     ) -> None:
         self._diags: list[Diagnostic] = []
+        # Running counts, kept by emit() -- the only writer of _diags -- so
+        # the max_errors check stays O(1) per diagnostic.
+        self._errors = 0
+        self._warnings = 0
         self.max_errors = max_errors
         self.warnings_as_errors = warnings_as_errors
         self.sources: dict[str, SourceText] = dict(sources or {})
@@ -162,7 +166,11 @@ class DiagnosticSink:
         if self._stage is not None and diag.stage is None:
             diag = replace(diag, stage=self._stage)
         self._diags.append(diag)
-        if self.error_count > self.max_errors:
+        if diag.is_error():
+            self._errors += 1
+        elif diag.severity == Severity.WARNING:
+            self._warnings += 1
+        if self._errors > self.max_errors:
             raise XpdlError(
                 f"too many errors (> {self.max_errors}); aborting", self._diags
             )
@@ -207,11 +215,11 @@ class DiagnosticSink:
 
     @property
     def error_count(self) -> int:
-        return sum(1 for d in self._diags if d.is_error())
+        return self._errors
 
     @property
     def warning_count(self) -> int:
-        return sum(1 for d in self._diags if d.severity == Severity.WARNING)
+        return self._warnings
 
     def has_errors(self) -> bool:
         return self.error_count > 0

@@ -28,6 +28,13 @@ Design points:
   ``fcntl`` lock where available (gated import; plain merge-and-replace
   elsewhere).  Losing a race costs at most a recomputation, never a
   corrupt index.
+* **Contents**: a blob is the stage artifact alone.  Collaborators the
+  producing session owns — the :class:`~repro.repository.ModelRepository`
+  and :class:`~repro.diagnostics.DiagnosticSink` a
+  :class:`~repro.composer.ComposedModel` refers to — are never persisted;
+  :class:`~repro.toolchain.ToolchainSession` rebinds them to its own
+  live objects on load.  A system's blob bytes therefore do not depend
+  on what else the writing process built before it.
 * **Versioning**: the index carries :data:`CACHE_SCHEMA_VERSION` and the
   pickle protocol; a mismatch (schema change, older writer) makes the
   whole cache read as empty so it is rebuilt cleanly.
@@ -77,7 +84,7 @@ PICKLE_ERRORS = (
 #: Bump whenever the index layout or the pickled artifact schema changes;
 #: caches written by other versions are ignored (and rebuilt), never
 #: misread.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Fixed pickle protocol so every writer produces compatible blobs.
 PICKLE_PROTOCOL = 4
@@ -302,7 +309,7 @@ class PersistentStageCache:
             merged = self._read_index()
             merged[entry.key] = entry
             self._write_index(merged)
-        self._entries = None  # next lookup sees the merged view
+        self._entries = merged  # the merged view just written
         return True
 
     # -- runtime images ------------------------------------------------------

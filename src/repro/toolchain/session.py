@@ -287,6 +287,13 @@ class ToolchainSession:
         if not ok:
             obs.count("toolchain.diskcache.corrupt")
             return _DISK_MISS
+        # Persisted artifacts omit the session-owned collaborators; attach
+        # this session's, exactly as Composer.compose would have.
+        composed = value if isinstance(value, ComposedModel) else getattr(
+            value, "composed", None
+        )
+        if isinstance(composed, ComposedModel):
+            composed.repository, composed.sink = self.repository, self.sink
         self._disk_hits += 1
         obs.count("toolchain.diskcache.hits")
         obs.count(f"toolchain.diskcache.hits.{stage}")

@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 import repro
-from repro.diagnostics import DiagnosticSink
+from repro.diagnostics import DiagnosticSink, Severity, SourceSpan, XpdlError
 from repro.modellib import PAPER_SYSTEMS, standard_repository
 from repro.obs import Observer
 from repro.repository import LocalDirStore, MemoryStore, ModelRepository
@@ -218,6 +218,41 @@ class TestDiagnosticsPlumbing:
         assert len(session.sink) == n
 
 
+class TestDiagnosticCounts:
+    """The sink's running error/warning counters match a full rescan."""
+
+    @staticmethod
+    def _feed(sink: DiagnosticSink) -> None:
+        span = SourceSpan.unknown("x.xpdl")
+        for i in range(12):
+            if i % 3 == 0:
+                sink.note("XPDL9000", f"note {i}", span)
+            elif i % 3 == 1:
+                sink.warning("XPDL9001", f"warning {i}", span)
+            else:
+                sink.error("XPDL9002", f"error {i}", span)
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True])
+    def test_counts_equal_rescan(self, warnings_as_errors):
+        sink = DiagnosticSink(warnings_as_errors=warnings_as_errors)
+        self._feed(sink)
+        assert sink.error_count == sum(1 for d in sink if d.is_error())
+        assert sink.warning_count == sum(
+            1 for d in sink if d.severity == Severity.WARNING
+        )
+        assert sink.error_count == (8 if warnings_as_errors else 4)
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True])
+    def test_max_errors_raises_on_the_same_emit(self, warnings_as_errors):
+        sink = DiagnosticSink(max_errors=3, warnings_as_errors=warnings_as_errors)
+        with pytest.raises(XpdlError, match="too many errors"):
+            self._feed(sink)
+        # The abort fires on the emit that pushes the rescanned error count
+        # past max_errors: the 4th error (warnings promoted or not).
+        assert sum(1 for d in sink if d.is_error()) == 4
+        assert len(sink) == (6 if warnings_as_errors else 12)
+
+
 class TestBootstrapStage:
     def test_bootstrap_reuses_composition(self):
         obs = Observer()
@@ -303,6 +338,69 @@ class TestPersistentCache:
         s2.emit_ir("SynthSys")
         assert o2.counters["compose.runs"] == 1
         assert s2.cache_stats()["disk_hits"] == 0
+
+    def test_version_1_cache_reads_as_empty(self, tmp_path):
+        """Schema-1 caches pickled the session's repository and sink into
+        every composed artifact; they are rebuilt, never loaded."""
+        store = MemoryStore({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
+        s1, _ = self._session(store, tmp_path)
+        s1.emit_ir("SynthSys")
+        PersistentStageCache(str(tmp_path)).stamp_version(1)
+        assert PersistentStageCache(str(tmp_path)).entries() == {}
+        s2, o2 = self._session(store, tmp_path)
+        s2.emit_ir("SynthSys")
+        assert o2.counters["compose.runs"] == 1
+        assert s2.cache_stats()["disk_hits"] == 0
+
+    def test_blob_bytes_independent_of_build_order(self, tmp_path):
+        """A persisted artifact carries no session state: the same system
+        stores the same bytes whether it is built first or after others."""
+        files = {
+            "cpu_a.xpdl": CPU_V1,
+            "sys_a.xpdl": SYSTEM.replace(
+                "<node>", "<node><memory type='DDR3' size='4' unit='GB'/>"
+            ),
+            "cpu_b.xpdl": CPU_B,
+            "sys_b.xpdl": SYSTEM_B.replace(
+                "<node>", "<node><memory type='DDR3' size='8' unit='GB'/>"
+            ),
+        }
+        first, _ = self._session(MemoryStore(dict(files)), tmp_path / "first")
+        first.emit_ir("SynthSys")
+        later, _ = self._session(MemoryStore(dict(files)), tmp_path / "later")
+        later.emit_ir("OtherSys")
+        later.validate("OtherCpu")
+        later.emit_ir("SynthSys")
+        assert len(later.sink) > len(first.sink)
+
+        def digests(session):
+            return {
+                e.stage: e.sha256
+                for e in session.disk_cache.entries().values()
+                if e.identifier == "SynthSys"
+            }
+
+        assert set(digests(first)) == {"compose", "analyze", "emit_ir"}
+        assert digests(later) == digests(first)
+
+    def test_disk_hit_is_bound_to_the_session(self, tmp_path):
+        """Loaded artifacts share the loading session's repository and sink,
+        exactly like freshly composed ones."""
+        store = MemoryStore({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
+        s1, _ = self._session(store, tmp_path)
+        s1.emit_ir("SynthSys")
+
+        s2, o2 = self._session(store, tmp_path)
+        results = {
+            "compose": s2.compose("SynthSys"),
+            "analyze": s2.analyze("SynthSys").composed,
+            "emit_ir": s2.emit_ir("SynthSys").composed,
+        }
+        for stage, composed in results.items():
+            assert o2.counters[f"toolchain.diskcache.hits.{stage}"] == 1
+            assert composed.repository is s2.repository, stage
+            assert composed.sink is s2.sink, stage
+        assert o2.counters.get("compose.runs", 0) == 0
 
     def test_corrupt_blob_is_a_miss_and_verify_reports_it(self, tmp_path):
         store = MemoryStore({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
