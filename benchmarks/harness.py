@@ -41,6 +41,13 @@ hot service query stays within :data:`MAX_SERVE_DISPATCH_SLOWDOWN` of
 raw compiled path-query throughput and that the bench never rebuilt the
 hosted index (``index_builds == 1`` — no recompile per request).
 
+The ``cold_init`` section times a full ``xpdl_init`` open of the same
+model as a v2 image with its index sections (mmap, index adopted in
+place) and as a core-only v2 image (index built live).  ``compare``
+enforces that the indexed open stays :data:`MIN_COLD_OPEN_SPEEDUP` times
+faster than the core-only one and gates each open latency against the
+baseline.
+
 The ``fleet`` section runs the discrete-interval fleet simulator
 (``repro.fleet``) over a small generated cluster: a seeded diurnal trace
 through every DVFS governor policy, reporting per-policy energy/SLO and
@@ -101,10 +108,12 @@ MIN_QUERY_SPEEDUP = 5.0
 MAX_SERVE_DISPATCH_SLOWDOWN = 5.0
 
 #: Warm model open (mmap a v2 image, adopt its persisted index) must be
-#: at least this much faster than a from-scratch open (v1 decode + live
-#: index build) on the largest corpus model (acceptance criterion:
-#: >= 10x).  Self-consistent — both sides measured in the same run.
-MIN_COLD_OPEN_SPEEDUP = 10.0
+#: at least this much faster than a from-scratch open (core-only v2
+#: image + live index build) on the largest corpus model.  The floor was
+#: 10x against the retired v1 decode, which opened 1.41x faster than the
+#: core-only image in the committed baseline; 10 x 1.41 rounds to 14.
+#: Self-consistent — both sides measured in the same run.
+MIN_COLD_OPEN_SPEEDUP = 14.0
 
 #: Synthetic model sizes (elements) for the cold-open scaling sweep.
 COLD_INIT_SCALING_NODES = (1_000, 10_000, 50_000)
@@ -340,14 +349,15 @@ def run_cold_init_bench(
 ) -> dict[str, Any]:
     """Measure cold model-open latency with and without a persisted index.
 
-    Serializes the composed ``system`` three ways — v2 image with index
-    sections, v2 image core-only, legacy v1 records — and times a full
+    Serializes the composed ``system`` two ways — v2 image with index
+    sections and v2 image core-only — and times a full
     :func:`repro.runtime.query.xpdl_init` open of each (best of 5), plus
     an mmap-free ``from_bytes`` open of the indexed image to isolate the
     mmap win.  Counters from the mmap open document that a warm reopen
-    does *zero* index construction (``rebuilds`` must be 0).  A scaling
-    sweep over synthetic models shows how the speedup grows with model
-    size.
+    does *zero* index construction (``rebuilds`` must be 0).  The
+    speedup divides the core-only open (the from-scratch case: index
+    built live) by the mmap open.  A scaling sweep over synthetic models
+    shows how the speedup grows with model size.
     """
     import warnings
 
@@ -364,14 +374,11 @@ def run_cold_init_bench(
         paths = {
             "image_mmap": os.path.join(root, "indexed.xir"),
             "core_only": os.path.join(root, "core.xir"),
-            "v1_scratch": os.path.join(root, "legacy.xir"),
         }
         with open(paths["image_mmap"], "wb") as fh:
             fh.write(ir.to_bytes())
         with open(paths["core_only"], "wb") as fh:
             fh.write(build_image(ir, with_index=False))
-        with open(paths["v1_scratch"], "wb") as fh:
-            fh.write(ir.to_bytes_v1())
 
         opens: dict[str, float] = {}
         with warnings.catch_warnings():
@@ -397,7 +404,7 @@ def run_cold_init_bench(
                 k: round(v / calibration_s, 5) for k, v in opens.items()
             },
             "speedup_vs_scratch": round(
-                opens["v1_scratch"] / max(opens["image_mmap"], 1e-9), 2
+                opens["core_only"] / max(opens["image_mmap"], 1e-9), 2
             ),
             "rebuilds": obs.counters.get("index.rebuilds", 0),
             "mmap_loads": obs.counters.get("index.load_mmap", 0),
@@ -415,7 +422,7 @@ def run_cold_init_bench(
                 {
                     "nodes": n,
                     "image_mmap_ms": row["open_ms"]["image_mmap"],
-                    "v1_scratch_ms": row["open_ms"]["v1_scratch"],
+                    "core_only_ms": row["open_ms"]["core_only"],
                     "speedup": row["speedup_vs_scratch"],
                 }
             )
@@ -999,7 +1006,7 @@ def compare(
         if speedup < MIN_COLD_OPEN_SPEEDUP:
             problems.append(
                 f"warm image open only {speedup:.1f}x faster than a "
-                f"from-scratch open (floor {MIN_COLD_OPEN_SPEEDUP:.0f}x)"
+                f"core-only open (floor {MIN_COLD_OPEN_SPEEDUP:.0f}x)"
             )
         base_cold = (baseline.get("cold_init") or {}).get("norm_open") or {}
         cur_norm = cur_cold.get("norm_open") or {}
@@ -1252,21 +1259,24 @@ def summarize(data: dict[str, Any]) -> str:
             f"({cold.get('elements', '?')} elements, "
             f"{cold.get('rebuilds', '?')} rebuilds):"
         )
-        for name in ("image_mmap", "image_read", "core_only", "v1_scratch"):
+        for name in ("image_mmap", "image_read", "core_only"):
             ms = (cold.get("open_ms") or {}).get(name)
             if ms is None:
                 continue
             lines.append(f"    {name:15s} {ms:10.3f} ms")
         lines.append(
-            f"    warm mmap open speedup over from-scratch: "
+            f"    warm mmap open speedup over core-only: "
             f"{cold.get('speedup_vs_scratch', 0):.0f}x"
         )
         for row in cold.get("scaling") or []:
-            lines.append(
-                f"    {row['nodes']:7d} nodes   mmap {row['image_mmap_ms']:8.3f} ms  "
-                f"scratch {row['v1_scratch_ms']:9.3f} ms  "
-                f"speedup {row['speedup']:6.1f}x"
-            )
+            line = f"    {row['nodes']:7d} nodes   mmap {row['image_mmap_ms']:8.3f} ms"
+            # The committed baseline predates core-only scaling rows.
+            if "core_only_ms" in row:
+                line += (
+                    f"  core-only {row['core_only_ms']:9.3f} ms  "
+                    f"speedup {row['speedup']:6.1f}x"
+                )
+            lines.append(line)
     scale = data.get("scale") or {}
     if scale:
         lines.append(

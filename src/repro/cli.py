@@ -496,7 +496,6 @@ def cmd_fleet_sweep(args) -> int:
         image_path=image_path,
         state_catalog=catalog,
         jobs=args.jobs,
-        engine=args.engine,
     )
     if args.format == "json":
         text = report.to_json()
@@ -1182,13 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=200_000,
         metavar="N",
         help="instructions per request (default 200000)",
-    )
-    ps.add_argument(
-        "--engine",
-        choices=("memo", "cursor"),
-        default="memo",
-        help="simulation inner loop: memoized tables or the cursor-walk "
-        "reference (default: memo)",
     )
     ps.add_argument(
         "--cache-dir",

@@ -6,7 +6,7 @@ loads it at startup through the query API.
 
 The IR flattens the composed tree into arrays — a string pool plus one
 record per node (kind, parent index, attribute name/value index pairs) — so
-loading is a single linear scan with no XML parsing.  Three encodings are
+loading is a single linear scan with no XML parsing.  Two encodings are
 understood:
 
 * **v2 binary** (magic ``XPDLRT02``, :mod:`repro.ir.image`) — the default
@@ -15,25 +15,21 @@ understood:
   artifacts.  :meth:`IRModel.load` mmaps it and views every table in
   place; nodes, strings and analyses materialize lazily on first touch,
   so opening a model costs O(file open), not O(model).
-* **v1 binary** (magic ``XPDLRT01``) — the legacy record-only format;
-  still read (decoded eagerly, index rebuilt live) and still writable
-  via :meth:`IRModel.to_bytes_v1` for downgrade interchange.
 * **JSON** (debugging, interchange).
 
-All formats round-trip exactly.  A v2 image whose *index* sections fail
-their checksums degrades to a live index rebuild with a loud
-:class:`~repro.ir.image.XirImageWarning` — corruption is never answered
-with wrong query results; core-section damage raises
+Both round-trip exactly.  Files in the retired record-only v1 encoding
+(magic ``XPDLRT01``) are refused with a :class:`~repro.diagnostics.QueryError`
+that says to rebuild them with the toolchain.  A v2 image whose *index*
+sections fail their checksums degrades to a live index rebuild with a
+loud :class:`~repro.ir.image.XirImageWarning` — corruption is never
+answered with wrong query results; core-section damage raises
 :class:`~repro.diagnostics.QueryError`.
 """
 
 from __future__ import annotations
 
-import array
 import json
 import mmap
-import struct
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,10 +45,6 @@ _NO_PARENT = 0xFFFFFFFF
 #: JSON documents are accepted under either format tag — the JSON node
 #: schema never changed across the binary version bump.
 _JSON_FORMATS = (MAGIC.decode(), MAGIC_V1.decode())
-
-#: The bulk-decode fast path reads the record region as one u32 array;
-#: only usable when the platform's array("I") is exactly 4 bytes wide.
-_U32_ARRAY_OK = array.array("I").itemsize == 4
 
 _MISS = object()
 
@@ -137,10 +129,10 @@ class IRModel:
         self._index = None  # lazily built IRIndex (the IR is read-only)
         self._image: IRImage | None = None
         self._id_memo: dict[str, int | None] | None = None
-        # Set when this model came from a persisted source *without* a
-        # usable index (v1 file, degraded v2 image): the live IRIndex
-        # build then counts as an ``index.rebuilds`` — the startup tax
-        # the image format exists to avoid.
+        # Set when this model came from a degraded v2 image (index
+        # sections unusable): the live IRIndex build then counts as an
+        # ``index.rebuilds`` — the startup tax the image format exists
+        # to avoid.
         self._load_origin: str | None = None
 
     # -- construction -------------------------------------------------------
@@ -315,61 +307,21 @@ class IRModel:
         get_observer().count("ir.bytes", len(blob))
         return blob
 
-    def to_bytes_v1(self) -> bytes:
-        """Serialize in the legacy record-only ``XPDLRT01`` format."""
-        pool: dict[str, int] = {}
-        pool_list: list[str] = []
-
-        def intern(s: str) -> int:
-            idx = pool.get(s)
-            if idx is None:
-                idx = len(pool_list)
-                pool[s] = idx
-                pool_list.append(s)
-            return idx
-
-        records: list[bytes] = []
-        for node in self.nodes:
-            kind_idx = intern(node.kind)
-            parent = _NO_PARENT if node.parent is None else node.parent
-            attr_items = list(node.attrs.items())
-            rec = [struct.pack("<III", kind_idx, parent, len(attr_items))]
-            for k, v in attr_items:
-                rec.append(struct.pack("<II", intern(k), intern(v)))
-            records.append(b"".join(rec))
-
-        meta_items = list(self.meta.items())
-        out = [MAGIC_V1]
-        out.append(struct.pack("<I", len(meta_items)))
-        for k, v in meta_items:
-            kb, vb = k.encode("utf-8"), v.encode("utf-8")
-            out.append(struct.pack("<II", len(kb), len(vb)))
-            out.append(kb)
-            out.append(vb)
-        out.append(struct.pack("<I", len(pool_list)))
-        for s in pool_list:
-            b = s.encode("utf-8")
-            out.append(struct.pack("<I", len(b)))
-            out.append(b)
-        out.append(struct.pack("<I", len(records)))
-        out.extend(records)
-        blob = b"".join(out)
-        get_observer().count("ir.bytes", len(blob))
-        return blob
-
     @staticmethod
     def from_bytes(data) -> "IRModel":
-        """Decode either binary format; v2 buffers are viewed in place.
+        """Decode a v2 image, viewed in place.
 
         ``data`` may be bytes or any buffer (an ``mmap`` in particular);
-        a v2 model keeps views into it, so the buffer must outlive the
+        the model keeps views into it, so the buffer must outlive the
         model — which reference counting guarantees."""
-        view = memoryview(data)
-        head = bytes(view[:8])
+        head = bytes(memoryview(data)[:8])
         if head == MAGIC:
             return IRModel._from_image(data)
         if head == MAGIC_V1:
-            return IRModel._from_bytes_v1(view)
+            raise QueryError(
+                "retired XPDLRT01 runtime model format; rebuild the file "
+                "with the toolchain (`xpdl compose` or `xpdl build`)"
+            )
         raise QueryError("not an XPDL runtime model file (bad magic)")
 
     @staticmethod
@@ -391,89 +343,6 @@ class IRModel:
             if obs.enabled:
                 obs.mark("index.degraded", problem=image.index_problem)
         obs.count("ir.loads")
-        return model
-
-    @staticmethod
-    def _from_bytes_v1(view: memoryview) -> "IRModel":
-        off = 8
-
-        def read_u32() -> int:
-            nonlocal off
-            (v,) = struct.unpack_from("<I", view, off)
-            off += 4
-            return v
-
-        def read_str(n: int) -> str:
-            nonlocal off
-            s = bytes(view[off : off + n]).decode("utf-8")
-            off += n
-            return s
-
-        meta: dict[str, str] = {}
-        for _ in range(read_u32()):
-            klen = read_u32()
-            vlen = read_u32()
-            k = read_str(klen)
-            v = read_str(vlen)
-            meta[k] = v
-        pool: list[str] = []
-        for _ in range(read_u32()):
-            pool.append(read_str(read_u32()))
-
-        # Fast path: past the string pool the file is nothing but u32
-        # words (count, then per node kind/parent/nattrs + attr pairs), so
-        # decode the whole tail with one array copy instead of a
-        # struct.unpack_from call per word — xpdl_init sits on an
-        # application's startup path.
-        nodes: list[IRNode] = []
-        if _U32_ARRAY_OK:
-            tail = bytes(view[off:])
-            if len(tail) % 4:
-                raise QueryError("truncated XPDL runtime model file")
-            words = array.array("I")
-            words.frombytes(tail)
-            if sys.byteorder == "big":  # file format is little-endian
-                words.byteswap()
-            w = 1
-            for idx in range(words[0]):
-                kind_idx, parent, nattrs = words[w], words[w + 1], words[w + 2]
-                w += 3
-                attrs: dict[str, str] = {}
-                for _ in range(nattrs):
-                    attrs[pool[words[w]]] = pool[words[w + 1]]
-                    w += 2
-                nodes.append(
-                    IRNode(
-                        idx,
-                        pool[kind_idx],
-                        None if parent == _NO_PARENT else parent,
-                        attrs,
-                    )
-                )
-        else:  # pragma: no cover - exotic array("I") width
-            for idx in range(read_u32()):
-                kind_idx = read_u32()
-                parent = read_u32()
-                nattrs = read_u32()
-                attrs = {}
-                for _ in range(nattrs):
-                    k = pool[read_u32()]
-                    v = pool[read_u32()]
-                    attrs[k] = v
-                nodes.append(
-                    IRNode(
-                        idx,
-                        pool[kind_idx],
-                        None if parent == _NO_PARENT else parent,
-                        attrs,
-                    )
-                )
-        for node in nodes:
-            if node.parent is not None:
-                nodes[node.parent].children.append(node.index)
-        get_observer().count("ir.loads")
-        model = IRModel(nodes, meta)
-        model._load_origin = "v1 format (no persisted index)"
         return model
 
     # -- JSON encoding -----------------------------------------------------------------

@@ -274,10 +274,11 @@ def xpdl_init(filename: str) -> QueryContext:
     The Python spelling of the paper's ``int xpdl_init(char *filename)``;
     raises :class:`QueryError` on unreadable or malformed files instead of
     returning an error code.  A v2 image file is mmapped and its persisted
-    index adopted in place (``index.load_mmap``); v1 files and images with
-    damaged index sections fall back to a live index build
-    (``index.rebuilds``).  Either way the cold-open latency lands in the
-    ``index.open_s`` histogram.
+    index adopted in place (``index.load_mmap``); an image with damaged
+    index sections falls back to a live index build (``index.rebuilds``).
+    Either way the cold-open latency lands in the ``index.open_s``
+    histogram.  Files in the retired ``XPDLRT01`` format raise
+    :class:`QueryError` with a hint to rebuild them.
     """
     obs = get_observer()
     t0 = time.perf_counter()

@@ -41,10 +41,6 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_CHARS = _NAME_START | set("0123456789.-")
 
 
-def _is_name(text: str) -> bool:
-    return bool(text) and text[0] in _NAME_START and all(c in _NAME_CHARS for c in text)
-
-
 class XmlParser:
     """One-shot parser over a :class:`SourceText`."""
 

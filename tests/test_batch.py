@@ -241,18 +241,25 @@ class TestCacheCli:
         assert "mismatch" in err
 
 
+@pytest.fixture(scope="class")
+def bench_report():
+    """One full harness run shared by the class; tests deep-copy it."""
+    harness = pytest.importorskip("benchmarks.harness")
+    return harness.run_bench(jobs=1, identifiers=["myriad_server"])
+
+
 class TestBenchHarness:
-    def test_run_bench_and_gate(self):
+    def test_run_bench_and_gate(self, bench_report):
         harness = pytest.importorskip("benchmarks.harness")
-        data = harness.run_bench(jobs=1, identifiers=["myriad_server"])
+        data = copy.deepcopy(bench_report)
         assert data["ir_deterministic"] is True
         assert data["phases"]["warm"]["hit_rate"] >= 0.9
         assert data["phases"]["cold"]["builds"] == 1
         assert harness.compare(data, data) == []
 
-    def test_gate_fails_on_regression(self):
+    def test_gate_fails_on_regression(self, bench_report):
         harness = pytest.importorskip("benchmarks.harness")
-        data = harness.run_bench(jobs=1, identifiers=["myriad_server"])
+        data = copy.deepcopy(bench_report)
         worse = copy.deepcopy(data)
         worse["phases"]["warm"]["norm_wall"] = (
             data["phases"]["warm"]["norm_wall"] * 10.0 + 10.0
@@ -260,9 +267,9 @@ class TestBenchHarness:
         problems = harness.compare(data, worse, max_regress=0.25)
         assert any("regressed" in p for p in problems)
 
-    def test_report_roundtrip(self, tmp_path):
+    def test_report_roundtrip(self, bench_report, tmp_path):
         harness = pytest.importorskip("benchmarks.harness")
-        data = harness.run_bench(jobs=1, identifiers=["myriad_server"])
+        data = copy.deepcopy(bench_report)
         data["rev"] = "testrev"
         path = harness.write_report(data, str(tmp_path))
         assert path.endswith("BENCH_testrev.json")

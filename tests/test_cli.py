@@ -57,6 +57,15 @@ class TestComposeInfoQuery:
         assert code == 0
         assert 'compute_capability="3.5"' in out
 
+    def test_retired_v1_file_is_a_typed_error(self, capsys, tmp_path):
+        legacy = tmp_path / "legacy.xir"
+        legacy.write_bytes(b"XPDLRT01" + b"\x00" * 56)
+        code, _out, err = run_cli(capsys, "query", str(legacy), "//core")
+        assert code == 2
+        assert "xpdl: error:" in err
+        assert "XPDLRT01" in err
+        assert "Traceback" not in err
+
     def test_filter_strips_build_flags(self, capsys, tmp_path):
         out_file = str(tmp_path / "m.xir")
         run_cli(capsys, "compose", "liu_gpu_server", "-o", out_file)

@@ -101,10 +101,9 @@ class TestBinaryFormat:
             )
             return (len(big) - len(small)) / 98
 
-        # v1 carries only the records: a few u32s per node.
-        assert sizes(IRModel.to_bytes_v1) < 40
-        # v2 adds the persisted index (pre/size/doc, buckets, attr sets):
-        # still a bounded handful of u32s per node, no strings repeated.
+        # v2 carries the records plus the persisted index (pre/size/doc,
+        # buckets, attr sets): still a bounded handful of u32s per node,
+        # no strings repeated.
         assert sizes(IRModel.to_bytes) < 72
 
     def test_file_roundtrip(self, tmp_path):

@@ -7,9 +7,8 @@ Covers the PR-7 acceptance criteria:
   identically to a freshly built :class:`IRIndex` *and* to the naive
   uncompiled evaluator (property-based over random trees, plus the
   largest corpus model).
-* **Version skew** — v1 files still load (with ``index.rebuilds``
-  accounting); garbage and truncated v2 images are rejected loudly,
-  never misread.
+* **Version skew** — retired v1 files are refused with a rebuild hint;
+  garbage and truncated v2 images are rejected loudly, never misread.
 * **Degradation** — a damaged *index* section falls back to a live
   rebuild with a warning and correct answers; damaged *core* sections
   raise :class:`QueryError`.
@@ -30,7 +29,12 @@ from repro.diagnostics import QueryError
 from repro.ir import IRModel, XirImageWarning, build_image, read_section_table
 from repro.model import from_document
 from repro.obs import Observer, use_observer
-from repro.runtime import query_all, query_all_naive, xpdl_init_from_model
+from repro.runtime import (
+    query_all,
+    query_all_naive,
+    xpdl_init,
+    xpdl_init_from_model,
+)
 from repro.runtime.index import IRIndex
 from repro.xpdlxml import parse_xml
 
@@ -181,16 +185,15 @@ class TestCorpusImage:
 
 
 class TestVersionSkew:
-    def test_v1_still_loads_and_counts_rebuild(self):
-        ir = IRModel.from_model(model(SAMPLE), {"k": "v"})
-        legacy = IRModel.from_bytes(ir.to_bytes_v1())
-        assert legacy.meta == {"k": "v"}
-        assert legacy._load_origin is not None
-        obs = Observer()
-        with use_observer(obs):
-            IRIndex(legacy)
-        assert obs.counters.get("index.rebuilds") == 1
-        assert_index_equal(IRIndex(legacy), fresh_index(ir))
+    def test_v1_rejected_with_rebuild_hint(self, tmp_path):
+        legacy = b"XPDLRT01" + b"\x00" * 56
+        with pytest.raises(QueryError, match="XPDLRT01") as excinfo:
+            IRModel.from_bytes(legacy)
+        assert "rebuild" in str(excinfo.value)
+        path = tmp_path / "legacy.xir"
+        path.write_bytes(legacy)
+        with pytest.raises(QueryError, match="XPDLRT01"):
+            xpdl_init(str(path))
 
     def test_garbage_rejected(self):
         with pytest.raises(QueryError):
