@@ -13,7 +13,6 @@ import glob
 import sys
 
 from .harness import (
-    MAX_REGRESS,
     compare,
     load_report,
     run_bench,
@@ -51,13 +50,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("compare", help="gate CURRENT against BASELINE")
     p.add_argument("baseline")
     p.add_argument("current")
-    p.add_argument(
-        "--max-regress",
-        type=float,
-        default=MAX_REGRESS,
-        metavar="FRACTION",
-        help=f"allowed warm-build slowdown (default {MAX_REGRESS})",
-    )
 
     args = parser.parse_args(argv)
     if args.command == "run":
@@ -71,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     current = load_report(_resolve_report(args.current))
     print(summarize(baseline))
     print(summarize(current))
-    problems = compare(baseline, current, max_regress=args.max_regress)
+    problems = compare(baseline, current)
     for problem in problems:
         print(f"bench gate: {problem}", file=sys.stderr)
     if problems:

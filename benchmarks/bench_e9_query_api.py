@@ -23,7 +23,8 @@ import pytest
 from conftest import emit_table
 
 from repro.ir import IRModel
-from repro.runtime import query_all, query_all_naive, xpdl_init
+from repro.runtime import query_all, xpdl_init
+from repro.runtime.paths import query_all_naive
 from repro.units import POWER, read_metric
 
 HOT_PATH = "//cache[@name='L3']"

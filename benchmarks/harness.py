@@ -13,76 +13,65 @@ and emits one ``BENCH_<rev>.json``:
 Wall-clock numbers are machine-dependent, so each report also carries a
 ``calibration_s`` — the time of a fixed pure-Python spin measured on the
 same host — and every phase's ``norm_wall`` (wall / calibration).
-``compare`` gates on the *normalized* warm build time against a
-committed baseline JSON, which keeps the CI regression check meaningful
-across runner generations, plus the warm hit-rate floor.
 
-Each report also carries a ``queries`` section — runtime query API
-throughput (queries/s and calibration-normalized ``norm_qps``) on the
-composed liu_gpu_server model for the paper's Sec. IV categories
-(getter, browse, by_id, path, analysis), plus the *naive* uncompiled
-path/analysis evaluators for comparison.  ``compare`` gates the
-normalized throughputs against the baseline and enforces the compiled
-engine's speedup floor over the naive evaluators.
+Besides the build phases, each report has these sections:
 
-The ``scale`` section runs the toolchain over a *generated* corpus
-(``repro.corpus``, seed/scale fixed in :data:`SCALE_BENCH_SEED` /
-:data:`SCALE_BENCH_SCALE`): generator throughput, cold/warm/parallel
-batch builds of the synthetic systems, and a cold doctor pass.
-``compare`` gates batch-build and doctor normalized walls against the
-baseline and enforces the structural invariants — digest-stable
-generation, byte-identical parallel builds, zero doctor errors.
+* ``queries`` — runtime query API throughput (queries/s and
+  calibration-normalized ``norm_qps``) on the composed liu_gpu_server
+  model for the paper's Sec. IV categories (getter, browse, by_id, path,
+  analysis), plus the *naive* uncompiled path/analysis evaluators;
+* ``scale`` — the toolchain over a *generated* corpus (``repro.corpus``,
+  seed/scale fixed in :data:`SCALE_BENCH_SEED` /
+  :data:`SCALE_BENCH_SCALE`): generator throughput, cold/warm/parallel
+  batch builds of the synthetic systems, and a cold doctor pass;
+* ``serve`` — the ``xpdl serve`` hot path in-process:
+  :class:`repro.service.ModelHost` dispatch throughput once the model's
+  ``IRIndex`` is hosted (single requests, 32-request batches, and a
+  4-thread hammer);
+* ``cold_init`` — a full ``xpdl_init`` open of the same model as a v2
+  image with its index sections (mmap, index adopted in place) and as a
+  core-only v2 image (index built live);
+* ``fleet`` — the discrete-interval fleet simulator (``repro.fleet``)
+  over a small generated cluster: a seeded diurnal trace through every
+  DVFS governor policy, reporting per-policy energy/SLO and the
+  simulation rate (machine-intervals/s);
+* ``sweep`` (schema 7) — the full (policy, trace, seed) grid sharded
+  through ``repro.fleet.run_sweep`` at ``jobs=1`` and ``jobs=4``: grid
+  wall, cells/s and the parallel speedup, plus the ``fleet`` section's
+  single-cell rate.
 
-The ``serve`` section measures the ``xpdl serve`` hot path in-process:
-:class:`repro.service.ModelHost` dispatch throughput once the model's
-``IRIndex`` is hosted (single requests, 32-request batches, and a
-4-thread hammer).  ``compare`` enforces the acceptance criterion that a
-hot service query stays within :data:`MAX_SERVE_DISPATCH_SLOWDOWN` of
-raw compiled path-query throughput and that the bench never rebuilt the
-hosted index (``index_builds == 1`` — no recompile per request).
-
-The ``cold_init`` section times a full ``xpdl_init`` open of the same
-model as a v2 image with its index sections (mmap, index adopted in
-place) and as a core-only v2 image (index built live).  ``compare``
-enforces that the indexed open stays :data:`MIN_COLD_OPEN_SPEEDUP` times
-faster than the core-only one and gates each open latency against the
-baseline.
-
-The ``fleet`` section runs the discrete-interval fleet simulator
-(``repro.fleet``) over a small generated cluster: a seeded diurnal trace
-through every DVFS governor policy, reporting per-policy energy/SLO and
-the simulation rate (machine-intervals/s).  ``compare`` gates the
-normalized rate against the baseline and enforces the structural
-invariants — byte-identical reports across re-runs, ``powersave`` never
-costing more energy than ``performance``, and ``ondemand`` saving energy
-at equal SLO attainment on the diurnal shape.
-
-The ``sweep`` section (schema 7) shards the full (policy, trace, seed)
-grid through ``repro.fleet.run_sweep`` at ``jobs=1`` and ``jobs=4``:
-grid wall, cells/s and the parallel speedup, plus the ``fleet``
-section's single-cell rate floored against the frozen schema-6
-cursor-engine constant.  ``compare`` enforces byte-identical reports
-across job counts, the >= 2x speedup floor (only on hosts with >= 4
-CPUs), and both throughput floors.
+``compare`` is the CI gate over two reports.  Every check it makes is a
+row of :data:`GATES`, read by one evaluator: structural invariants
+(successful and byte-identical builds, stable digests, zero doctor
+errors, no index rebuild on a warm open or per served request),
+constant floors (warm hit rate, compiled-vs-naive speedup, cold-open
+speedup, sweep speedup on hosts with >= 4 CPUs, the frozen schema-6
+fleet rate), self-consistent ratios within one run (serve dispatch vs
+raw path queries, powersave/ondemand vs performance energy and SLO), and
+calibration-normalized throughput and latency against the committed
+baseline.  Normalizing keeps the regression check meaningful across
+runner generations.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 import platform
 import subprocess
 import sys
 import tempfile
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 BENCH_SCHEMA = 7
 
 #: Warm-cache hit-rate floor (acceptance criterion: >= 90 %).
 MIN_WARM_HIT_RATE = 0.9
 
-#: Default allowed normalized-wall regression for the CI gate.
+#: Allowed normalized-wall regression for the CI gate.
 MAX_REGRESS = 0.25
 
 #: Absolute slack (in calibration units) added to the gate so sub-100ms
@@ -233,7 +222,8 @@ def run_query_bench(
     from repro.composer import Composer
     from repro.ir import IRModel
     from repro.modellib import standard_repository
-    from repro.runtime import query_all, query_all_naive, xpdl_init_from_model
+    from repro.runtime import query_all, xpdl_init_from_model
+    from repro.runtime.paths import query_all_naive
     from repro.units import POWER, read_metric
 
     composed = Composer(standard_repository()).compose(system)
@@ -896,291 +886,226 @@ def load_report(path: str) -> dict[str, Any]:
     return data
 
 
-def compare(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    *,
-    max_regress: float = MAX_REGRESS,
-) -> list[str]:
-    """CI gate: problems list, empty when ``current`` is acceptable.
+class Gate(NamedTuple):
+    """One CI gate row: ``kind`` checks the metric at ``path``.
 
-    Checks, in order of severity: every phase built successfully and
-    deterministically; the warm phase's persistent-cache hit rate is at
-    least :data:`MIN_WARM_HIT_RATE`; and the *normalized* warm-build wall
-    time has not regressed more than ``max_regress`` (plus a small
-    absolute slack) against the baseline.
+    ``section`` names a current-report section the row needs (the row is
+    skipped when it is absent or empty) and ``when`` an extra predicate
+    on the current report.  A ``*`` path segment expands over the keys
+    found there — in the baseline for ``base_*`` kinds, in the current
+    report otherwise.  Kinds:
+
+    * ``true`` — the value is truthy; ``equal`` — it equals ``bound``;
+      ``floor`` — it is at least ``bound`` (a missing value counts as 0);
+    * ``base_floor`` / ``base_ceiling`` — ``bound`` is ``(tol, slack)``
+      and the limit is ``baseline * (1 -/+ tol) + slack``; a metric
+      missing from the current report yields ``missing``, one missing
+      from the baseline skips the row;
+    * ``ratio_floor`` / ``ratio_ceiling`` — ``path`` is two current
+      metrics ``(a, b)`` and ``a / b`` is held to ``bound``; skipped
+      unless both are present.
+
+    ``msg`` is formatted with ``value``, ``bound``, ``key``, ``cur`` (the
+    current report), ``base``/``tol``/``slack`` and ``a``/``b``.
     """
-    problems: list[str] = []
-    for name, phase in current["phases"].items():
-        if not phase.get("ok", False):
-            problems.append(f"phase {name}: build failed")
-    if not current.get("ir_deterministic", False):
-        problems.append("parallel build is not byte-identical to sequential")
 
-    warm = current["phases"]["warm"]
-    if warm["hit_rate"] < MIN_WARM_HIT_RATE:
-        problems.append(
-            f"warm hit rate {warm['hit_rate']:.0%} below the "
-            f"{MIN_WARM_HIT_RATE:.0%} floor"
+    section: str | None
+    kind: str
+    path: str | tuple[str, str]
+    bound: Any
+    msg: str
+    missing: str = ""
+    when: Callable[[dict[str, Any]], bool] | None = None
+
+
+_PASS: dict[str, Callable[[Any, Any], bool]] = {
+    "true": lambda value, bound: bool(value),
+    "equal": operator.eq,
+    "floor": operator.ge,
+    "ceiling": operator.le,
+}
+
+#: Tolerance of the noisier throughput/latency gates against the baseline.
+_TOL = MAX_REGRESS + QUERY_NOISE
+_QC = "queries.categories."
+_POL = "fleet.policies."
+
+GATES: tuple[Gate, ...] = (
+    Gate(None, "true", "phases.*.ok", None, "phase {key}: build failed"),
+    Gate(None, "true", "ir_deterministic", None,
+         "parallel build is not byte-identical to sequential"),
+    Gate(None, "floor", "phases.warm.hit_rate", MIN_WARM_HIT_RATE,
+         "warm hit rate {value:.0%} below the {bound:.0%} floor"),
+    Gate(None, "base_ceiling", "phases.warm.norm_wall", (MAX_REGRESS, NORM_SLACK),
+         "warm build regressed: norm_wall {value:.3f} exceeds allowed {bound:.3f} "
+         "(baseline {base:.3f} +{tol:.0%} +{slack} slack)",
+         "warm build: missing from current report"),
+    # -- runtime query API throughput
+    Gate(None, "base_floor", _QC + "*.norm_qps", (_TOL, 0.0),
+         "query bench {key!r} regressed: norm_qps {value:.3f} below floor "
+         "{bound:.3f} (baseline {base:.3f} -{tol:.0%})",
+         "query bench {key!r}: missing from current report"),
+    Gate(None, "ratio_floor", (_QC + "path.qps", _QC + "path_naive.qps"),
+         MIN_QUERY_SPEEDUP, "compiled path query engine only {value:.1f}x the "
+         "naive evaluator (floor {bound:.0f}x)"),
+    Gate(None, "ratio_floor", (_QC + "analysis.qps", _QC + "analysis_naive.qps"),
+         MIN_QUERY_SPEEDUP, "compiled analysis query engine only {value:.1f}x the "
+         "naive evaluator (floor {bound:.0f}x)"),
+    # -- model service (xpdl serve) dispatch
+    Gate(None, "ratio_ceiling", (_QC + "path.qps", "serve.categories.hot.rps"),
+         MAX_SERVE_DISPATCH_SLOWDOWN, "hot serve dispatch is {value:.1f}x slower "
+         "than raw compiled path queries (ceiling {bound:.0f}x)"),
+    Gate("serve", "equal", "serve.index_builds", 1,
+         "serve bench built the hosted index {value!r} times (expected exactly 1: "
+         "hot requests must reuse the cached IRIndex)"),
+    Gate(None, "base_floor", "serve.categories.*.norm_rps", (_TOL, 0.0),
+         "serve bench {key!r} regressed: norm_rps {value:.3f} below floor "
+         "{bound:.3f} (baseline {base:.3f} -{tol:.0%})",
+         "serve bench {key!r}: missing from current report"),
+    # -- zero-copy cold open (persisted v2 index image)
+    Gate("cold_init", "equal", "cold_init.rebuilds", 0,
+         "warm image open rebuilt the index {value!r} time(s) (expected 0: the "
+         "persisted sections must be adopted in place)"),
+    Gate("cold_init", "floor", "cold_init.speedup_vs_scratch", MIN_COLD_OPEN_SPEEDUP,
+         "warm image open only {value:.1f}x faster than a core-only open "
+         "(floor {bound:.0f}x)"),
+    # Latency: the throughput tolerance plus a tiny absolute slack for
+    # sub-ms opens dominated by syscall noise.
+    Gate("cold_init", "base_ceiling", "cold_init.norm_open.*", (_TOL, 0.05),
+         "cold_init bench {key!r} regressed: norm_open {value:.4f} above ceiling "
+         "{bound:.4f} (baseline {base:.4f} +{tol:.0%})",
+         "cold_init bench {key!r}: missing from current report"),
+    # -- generated-corpus scale section
+    Gate("scale", "true", "scale.digest_stable", None,
+         "scale bench: generator digest is not stable across re-generation "
+         "(seeding contract broken)"),
+    Gate("scale", "true", "scale.ir_deterministic", None,
+         "scale bench: parallel corpus build is not byte-identical to sequential"),
+    Gate("scale", "true", "scale.phases.*.ok", None,
+         "scale bench phase {key}: build failed"),
+    Gate("scale", "floor", "scale.phases.warm.hit_rate", MIN_WARM_HIT_RATE,
+         "scale bench warm hit rate {value:.0%} below the {bound:.0%} floor"),
+    Gate("scale", "equal", "scale.doctor.errors", 0,
+         "scale bench: doctor found {value} error(s) in the generated corpus "
+         "(generator must be doctor-clean)"),
+    *(
+        Gate("scale", "base_ceiling", f"scale.{path}.norm_wall", (_TOL, NORM_SLACK),
+             f"scale bench {label} regressed: norm_wall {{value:.3f}} above ceiling "
+             "{bound:.3f} (baseline {base:.3f} +{tol:.0%})",
+             f"scale bench {label}: missing from current report")
+        for label, path in (
+            ("cold build", "phases.cold"),
+            ("warm build", "phases.warm"),
+            ("doctor", "doctor"),
         )
+    ),
+    # -- fleet energy/SLO simulation
+    Gate("fleet", "true", "fleet.digest_stable", None,
+         "fleet bench: report is not byte-identical across re-runs "
+         "(simulation determinism contract broken)"),
+    Gate("fleet", "ratio_ceiling",
+         (_POL + "powersave.energy_j", _POL + "performance.energy_j"), 1.0,
+         "fleet bench: powersave used more energy ({a:.1f} J) than performance "
+         "({b:.1f} J)"),
+    Gate("fleet", "ratio_ceiling",
+         (_POL + "performance.slo_attainment", _POL + "ondemand.slo_attainment"), 1.0,
+         "fleet bench: ondemand SLO attainment {b:.0%} fell below performance's "
+         "{a:.0%} on the diurnal trace"),
+    # Only once the SLO row above passed; the smallest float above 1
+    # makes "performance / ondemand energy" a strict floor.
+    Gate("fleet", "ratio_floor",
+         (_POL + "performance.energy_j", _POL + "ondemand.energy_j"),
+         math.nextafter(1.0, 2.0),
+         "fleet bench: ondemand saved no energy over performance ({b:.1f} J vs "
+         "{a:.1f} J at equal SLO)",
+         when=lambda cur: (_get(cur, _POL + "ondemand.slo_attainment") or 0)
+         >= (_get(cur, _POL + "performance.slo_attainment") or 0)),
+    Gate("fleet", "base_floor", "fleet.norm_rate", (_TOL, 0.0),
+         "fleet bench regressed: norm_rate {value:.3f} below floor {bound:.3f} "
+         "(baseline {base:.3f} -{tol:.0%})",
+         "fleet bench: missing from current report"),
+    # -- fleet sweep engine
+    Gate("sweep", "true", "sweep.digest_stable", None,
+         "sweep bench: report is not byte-identical across jobs "
+         "(sharding determinism contract broken)"),
+    # A 1-core host cannot exhibit process-level speedup.
+    Gate("sweep", "floor", "sweep.parallel_speedup", MIN_SWEEP_SPEEDUP,
+         "sweep bench: parallel speedup {value:.2f}x at jobs={cur[sweep][jobs]} "
+         "below the {bound:.0f}x floor ({cur[sweep][cpus]} CPUs available)",
+         when=lambda cur: min(_get(cur, "sweep.cpus") or 0, _get(cur, "sweep.jobs") or 0)
+         >= SWEEP_BENCH_JOBS),
+    Gate("sweep", "floor", "sweep.single_cell_norm_rate",
+         SCHEMA6_FLEET_NORM_RATE * (1.0 - MAX_REGRESS - QUERY_NOISE),
+         "sweep bench: single-cell norm_rate {value:.3f} fell below the schema-6 "
+         "cursor-engine floor {bound:.3f} (the memoized inner loop must stay at "
+         "least as fast as the pre-memo simulator)"),
+    Gate("sweep", "base_floor", "sweep.serial.norm_cells_per_s", (_TOL, 0.0),
+         "sweep bench regressed: serial norm_cells_per_s {value:.4f} below floor "
+         "{bound:.4f} (baseline {base:.4f} -{tol:.0%})",
+         "sweep bench: serial cells/s missing from current report"),
+)
 
-    base_warm = baseline["phases"]["warm"]
-    allowed = base_warm["norm_wall"] * (1.0 + max_regress) + NORM_SLACK
-    if warm["norm_wall"] > allowed:
-        problems.append(
-            f"warm build regressed: norm_wall {warm['norm_wall']:.3f} "
-            f"exceeds allowed {allowed:.3f} "
-            f"(baseline {base_warm['norm_wall']:.3f} "
-            f"+{max_regress:.0%} +{NORM_SLACK} slack)"
-        )
 
-    # -- runtime query API throughput ----------------------------------
-    base_queries = (baseline.get("queries") or {}).get("categories") or {}
-    cur_queries = (current.get("queries") or {}).get("categories") or {}
-    for name, base_q in base_queries.items():
-        cur_q = cur_queries.get(name)
-        if cur_q is None:
-            problems.append(f"query bench {name!r}: missing from current report")
-            continue
-        floor = base_q["norm_qps"] * (1.0 - max_regress - QUERY_NOISE)
-        if cur_q["norm_qps"] < floor:
-            problems.append(
-                f"query bench {name!r} regressed: norm_qps "
-                f"{cur_q['norm_qps']:.3f} below floor {floor:.3f} "
-                f"(baseline {base_q['norm_qps']:.3f} "
-                f"-{max_regress + QUERY_NOISE:.0%})"
-            )
-    for fast, slow in (("path", "path_naive"), ("analysis", "analysis_naive")):
-        if fast in cur_queries and slow in cur_queries:
-            speedup = cur_queries[fast]["qps"] / max(cur_queries[slow]["qps"], 1e-9)
-            if speedup < MIN_QUERY_SPEEDUP:
-                problems.append(
-                    f"compiled {fast} query engine only {speedup:.1f}x the "
-                    f"naive evaluator (floor {MIN_QUERY_SPEEDUP:.0f}x)"
-                )
+def _get(report: Any, path: str) -> Any:
+    """The value at dotted ``path``, or ``None`` where any key is missing."""
+    for key in path.split("."):
+        report = report.get(key) if isinstance(report, dict) else None
+    return report
 
-    # -- model service (xpdl serve) dispatch ---------------------------
-    cur_serve = current.get("serve") or {}
-    serve_cats = cur_serve.get("categories") or {}
-    raw_path = cur_queries.get("path")
-    if raw_path and "hot" in serve_cats:
-        slowdown = raw_path["qps"] / max(serve_cats["hot"]["rps"], 1e-9)
-        if slowdown > MAX_SERVE_DISPATCH_SLOWDOWN:
-            problems.append(
-                f"hot serve dispatch is {slowdown:.1f}x slower than raw "
-                f"compiled path queries "
-                f"(ceiling {MAX_SERVE_DISPATCH_SLOWDOWN:.0f}x)"
-            )
-    if cur_serve and cur_serve.get("index_builds") != 1:
-        problems.append(
-            f"serve bench built the hosted index "
-            f"{cur_serve.get('index_builds')!r} times (expected exactly 1: "
-            f"hot requests must reuse the cached IRIndex)"
-        )
-    for name, base_c in (
-        (baseline.get("serve") or {}).get("categories") or {}
-    ).items():
-        cur_c = serve_cats.get(name)
-        if cur_c is None:
-            problems.append(f"serve bench {name!r}: missing from current report")
-            continue
-        floor = base_c["norm_rps"] * (1.0 - max_regress - QUERY_NOISE)
-        if cur_c["norm_rps"] < floor:
-            problems.append(
-                f"serve bench {name!r} regressed: norm_rps "
-                f"{cur_c['norm_rps']:.3f} below floor {floor:.3f} "
-                f"(baseline {base_c['norm_rps']:.3f} "
-                f"-{max_regress + QUERY_NOISE:.0%})"
-            )
 
-    # -- zero-copy cold open (persisted v2 index image) ----------------
-    cur_cold = current.get("cold_init") or {}
-    if cur_cold:
-        if cur_cold.get("rebuilds", 1) != 0:
-            problems.append(
-                f"warm image open rebuilt the index "
-                f"{cur_cold.get('rebuilds')!r} time(s) (expected 0: the "
-                f"persisted sections must be adopted in place)"
-            )
-        speedup = cur_cold.get("speedup_vs_scratch", 0.0)
-        if speedup < MIN_COLD_OPEN_SPEEDUP:
-            problems.append(
-                f"warm image open only {speedup:.1f}x faster than a "
-                f"core-only open (floor {MIN_COLD_OPEN_SPEEDUP:.0f}x)"
-            )
-        base_cold = (baseline.get("cold_init") or {}).get("norm_open") or {}
-        cur_norm = cur_cold.get("norm_open") or {}
-        for name, base_v in base_cold.items():
-            cur_v = cur_norm.get(name)
-            if cur_v is None:
-                problems.append(
-                    f"cold_init bench {name!r}: missing from current report"
-                )
+def _expand(report: dict[str, Any], path: str) -> list[tuple[str | None, str]]:
+    """``(key, concrete path)`` for each key under a ``*`` segment."""
+    head, star, tail = path.partition("*")
+    if not star:
+        return [(None, path)]
+    return [(key, f"{head}{key}{tail}") for key in _get(report, head.rstrip(".")) or {}]
+
+
+def _check(gate: Gate, baseline: dict[str, Any], current: dict[str, Any]) -> list[str]:
+    """The problems one gate row finds in ``current``."""
+    if gate.section and not current.get(gate.section):
+        return []
+    if gate.when and not gate.when(current):
+        return []
+    test = gate.kind.rpartition("_")[2]
+    if gate.kind.startswith("ratio_"):
+        a, b = (_get(current, p) for p in gate.path)
+        if a is None or b is None:
+            return []
+        ratio = a / max(b, 1e-9)
+        if _PASS[test](ratio, gate.bound):
+            return []
+        return [gate.msg.format(value=ratio, bound=gate.bound, a=a, b=b)]
+    relative = gate.kind.startswith("base_")
+    problems = []
+    for key, path in _expand(baseline if relative else current, gate.path):
+        value, fields = _get(current, path), {"bound": gate.bound}
+        if relative:
+            base = _get(baseline, path)
+            if base is None:
                 continue
-            # Latency: higher is worse.  Same relative tolerance as the
-            # throughput gates, plus a tiny absolute slack for sub-ms
-            # opens dominated by syscall noise.
-            ceiling = base_v * (1.0 + max_regress + QUERY_NOISE) + 0.05
-            if cur_v > ceiling:
-                problems.append(
-                    f"cold_init bench {name!r} regressed: norm_open "
-                    f"{cur_v:.4f} above ceiling {ceiling:.4f} "
-                    f"(baseline {base_v:.4f} "
-                    f"+{max_regress + QUERY_NOISE:.0%})"
-                )
-    # -- generated-corpus scale section --------------------------------
-    cur_scale = current.get("scale") or {}
-    if cur_scale:
-        if not cur_scale.get("digest_stable", False):
-            problems.append(
-                "scale bench: generator digest is not stable across "
-                "re-generation (seeding contract broken)"
-            )
-        if not cur_scale.get("ir_deterministic", False):
-            problems.append(
-                "scale bench: parallel corpus build is not byte-identical "
-                "to sequential"
-            )
-        for name, phase in (cur_scale.get("phases") or {}).items():
-            if not phase.get("ok", False):
-                problems.append(f"scale bench phase {name}: build failed")
-        scale_warm = (cur_scale.get("phases") or {}).get("warm") or {}
-        if scale_warm and scale_warm.get("hit_rate", 0.0) < MIN_WARM_HIT_RATE:
-            problems.append(
-                f"scale bench warm hit rate {scale_warm['hit_rate']:.0%} "
-                f"below the {MIN_WARM_HIT_RATE:.0%} floor"
-            )
-        doctor = cur_scale.get("doctor") or {}
-        if doctor.get("errors", 0) != 0:
-            problems.append(
-                f"scale bench: doctor found {doctor.get('errors')} error(s) "
-                "in the generated corpus (generator must be doctor-clean)"
-            )
-        # Batch-build and doctor throughput gates against the baseline
-        # (normalized walls; ceiling like the latency gates above).
-        base_scale = baseline.get("scale") or {}
-        gates = [
-            ("cold build", ("phases", "cold"), "norm_wall"),
-            ("warm build", ("phases", "warm"), "norm_wall"),
-            ("doctor", ("doctor",), "norm_wall"),
-        ]
-        for label, path_keys, key in gates:
-            base_v: Any = base_scale
-            cur_v: Any = cur_scale
-            for k in path_keys:
-                base_v = (base_v or {}).get(k)
-                cur_v = (cur_v or {}).get(k)
-            base_v = (base_v or {}).get(key) if base_v else None
-            cur_v = (cur_v or {}).get(key) if cur_v else None
-            if base_v is None:
+            if value is None:
+                problems.append(gate.missing.format(key=key))
                 continue
-            if cur_v is None:
-                problems.append(
-                    f"scale bench {label}: missing from current report"
-                )
-                continue
-            ceiling = base_v * (1.0 + max_regress + QUERY_NOISE) + NORM_SLACK
-            if cur_v > ceiling:
-                problems.append(
-                    f"scale bench {label} regressed: norm_wall {cur_v:.3f} "
-                    f"above ceiling {ceiling:.3f} (baseline {base_v:.3f} "
-                    f"+{max_regress + QUERY_NOISE:.0%})"
-                )
-    # -- fleet energy/SLO simulation -----------------------------------
-    cur_fleet = current.get("fleet") or {}
-    if cur_fleet:
-        if not cur_fleet.get("digest_stable", False):
-            problems.append(
-                "fleet bench: report is not byte-identical across re-runs "
-                "(simulation determinism contract broken)"
-            )
-        pols = cur_fleet.get("policies") or {}
-        perf = pols.get("performance")
-        save = pols.get("powersave")
-        od = pols.get("ondemand")
-        if perf and save and save["energy_j"] > perf["energy_j"]:
-            problems.append(
-                f"fleet bench: powersave used more energy "
-                f"({save['energy_j']:.1f} J) than performance "
-                f"({perf['energy_j']:.1f} J)"
-            )
-        if perf and od:
-            if od["slo_attainment"] < perf["slo_attainment"]:
-                problems.append(
-                    f"fleet bench: ondemand SLO attainment "
-                    f"{od['slo_attainment']:.0%} fell below performance's "
-                    f"{perf['slo_attainment']:.0%} on the diurnal trace"
-                )
-            elif od["energy_j"] >= perf["energy_j"]:
-                problems.append(
-                    f"fleet bench: ondemand saved no energy over "
-                    f"performance ({od['energy_j']:.1f} J vs "
-                    f"{perf['energy_j']:.1f} J at equal SLO)"
-                )
-        base_fleet = baseline.get("fleet") or {}
-        base_rate = base_fleet.get("norm_rate")
-        cur_rate = cur_fleet.get("norm_rate")
-        if base_rate is not None:
-            if cur_rate is None:
-                problems.append("fleet bench: missing from current report")
-            else:
-                floor = base_rate * (1.0 - max_regress - QUERY_NOISE)
-                if cur_rate < floor:
-                    problems.append(
-                        f"fleet bench regressed: norm_rate {cur_rate:.3f} "
-                        f"below floor {floor:.3f} (baseline {base_rate:.3f} "
-                        f"-{max_regress + QUERY_NOISE:.0%})"
-                    )
-    # -- fleet sweep engine --------------------------------------------
-    cur_sweep = current.get("sweep") or {}
-    if cur_sweep:
-        if not cur_sweep.get("digest_stable", False):
-            problems.append(
-                "sweep bench: report is not byte-identical across jobs "
-                "(sharding determinism contract broken)"
-            )
-        if (
-            cur_sweep.get("cpus", 0) >= SWEEP_BENCH_JOBS
-            and cur_sweep.get("jobs", 0) >= SWEEP_BENCH_JOBS
-            and cur_sweep.get("parallel_speedup", 0.0) < MIN_SWEEP_SPEEDUP
-        ):
-            problems.append(
-                f"sweep bench: parallel speedup "
-                f"{cur_sweep.get('parallel_speedup', 0.0):.2f}x at "
-                f"jobs={cur_sweep.get('jobs')} below the "
-                f"{MIN_SWEEP_SPEEDUP:.0f}x floor "
-                f"({cur_sweep.get('cpus')} CPUs available)"
-            )
-        single = cur_sweep.get("single_cell_norm_rate")
-        if single is not None:
-            floor = SCHEMA6_FLEET_NORM_RATE * (
-                1.0 - max_regress - QUERY_NOISE
-            )
-            if single < floor:
-                problems.append(
-                    f"sweep bench: single-cell norm_rate {single:.3f} fell "
-                    f"below the schema-6 cursor-engine floor {floor:.3f} "
-                    f"(the memoized inner loop must stay at least as fast "
-                    f"as the pre-memo simulator)"
-                )
-        base_sweep = baseline.get("sweep") or {}
-        base_cells = (base_sweep.get("serial") or {}).get("norm_cells_per_s")
-        cur_cells = (cur_sweep.get("serial") or {}).get("norm_cells_per_s")
-        if base_cells is not None:
-            if cur_cells is None:
-                problems.append(
-                    "sweep bench: serial cells/s missing from current report"
-                )
-            else:
-                floor = base_cells * (1.0 - max_regress - QUERY_NOISE)
-                if cur_cells < floor:
-                    problems.append(
-                        f"sweep bench regressed: serial norm_cells_per_s "
-                        f"{cur_cells:.4f} below floor {floor:.4f} "
-                        f"(baseline {base_cells:.4f} "
-                        f"-{max_regress + QUERY_NOISE:.0%})"
-                    )
+            tol, slack = gate.bound
+            limit = base * (1.0 - tol if test == "floor" else 1.0 + tol) + slack
+            fields = {"bound": limit, "base": base, "tol": tol, "slack": slack}
+        elif test == "floor" and value is None:
+            value = 0.0
+        if not _PASS[test](value, fields["bound"]):
+            problems.append(gate.msg.format(value=value, key=key, cur=current, **fields))
     return problems
+
+
+def compare(baseline: dict[str, Any], current: dict[str, Any]) -> list[str]:
+    """CI gate: the problems :data:`GATES` finds, empty when ``current``
+    is acceptable against ``baseline``.
+
+    Rows are checked in table order and each reports in its own expansion
+    order, so the list reads like the report: build phases, queries,
+    serve, cold open, scale, fleet, sweep.
+    """
+    return [p for gate in GATES for p in _check(gate, baseline, current)]
 
 
 def summarize(data: dict[str, Any]) -> str:

@@ -14,7 +14,6 @@ from .paths import (
     compile_path,
     plan_cache_stats,
     query_all,
-    query_all_naive,
     query_first,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "compile_path",
     "plan_cache_stats",
     "query_all",
-    "query_all_naive",
     "query_first",
 ]

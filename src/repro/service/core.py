@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
@@ -453,6 +454,14 @@ class ModelHost:
         except XpdlError as exc:
             self.observer.count("service.errors")
             return 400, {"error": _error_message(exc), "status": 400}
+        except Exception as exc:
+            # A well-formed JSON request of the wrong shape (say
+            # ``"analyses": 5``) must not drop the client's connection or
+            # take a whole batch down; the traceback goes to stderr only.
+            traceback.print_exc()
+            self.observer.count("service.internal_errors")
+            error = f"internal error: {type(exc).__name__}"
+            return 500, {"error": error, "status": 500}
 
     # -- ops ------------------------------------------------------------------
     def _require(self, request: Mapping[str, Any], key: str) -> Any:
@@ -556,11 +565,7 @@ class ModelHost:
                     {"error": "invalid batched request", "status": 400}
                 )
                 continue
-            status, body = self.handle(sub)
-            if status != 200:
-                results.append(body)
-            else:
-                results.append(body)
+            results.append(self.handle(sub)[1])
         self.observer.count("service.batched", len(requests))
         return {"count": len(results), "results": results}
 

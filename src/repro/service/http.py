@@ -238,6 +238,7 @@ async def _write_response(
         400: "Bad Request",
         404: "Not Found",
         405: "Method Not Allowed",
+        500: "Internal Server Error",
     }.get(status, "Error")
     data = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = (

@@ -264,7 +264,7 @@ class TestBenchHarness:
         worse["phases"]["warm"]["norm_wall"] = (
             data["phases"]["warm"]["norm_wall"] * 10.0 + 10.0
         )
-        problems = harness.compare(data, worse, max_regress=0.25)
+        problems = harness.compare(data, worse)
         assert any("regressed" in p for p in problems)
 
     def test_report_roundtrip(self, bench_report, tmp_path):

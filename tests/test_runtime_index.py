@@ -24,10 +24,10 @@ from repro.runtime import (
     compile_path,
     plan_cache_stats,
     query_all,
-    query_all_naive,
     query_first,
     xpdl_init_from_model,
 )
+from repro.runtime.paths import query_all_naive
 from repro.runtime.query import QueryContext
 
 

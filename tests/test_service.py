@@ -131,6 +131,24 @@ class TestDispatchOps:
         assert status == 400
         assert "\n" not in body["error"]  # bare message, no diagnostics dump
 
+    def test_wrong_shaped_request_is_a_typed_500(self):
+        host, _ = make_host()
+        bad = [
+            {"op": "analysis", "model": "SynthSys", "analyses": 5},
+            {"op": "query", "model": "SynthSys", "path": 5},
+        ]
+        for request in bad:
+            status, body = host.handle(request)
+            assert status == 500
+            assert body == {"error": "internal error: TypeError", "status": 500}
+        _, body = host.handle(
+            {"op": "batch", "requests": [*bad, {"op": "health"}]}
+        )
+        assert [r.get("status") for r in body["results"]] == [500, 500, None]
+        assert body["results"][2]["ok"] is True
+        counters = host.stats()["observer"]["counters"]
+        assert counters["service.internal_errors"] == 4
+
     def test_error_body_is_single_line_for_unknown_model(self):
         host, _ = make_host()
         _, body = host.handle({"op": "query", "model": "nope", "path": "//x"})

@@ -120,6 +120,22 @@ class TestRouting:
             client.get("/nope")
         assert exc_info.value.status == 404
 
+    def test_wrong_shaped_request_is_500_not_a_dropped_connection(self, service):
+        client, _, _, _ = service
+        with pytest.raises(ServiceClientError) as exc_info:
+            client.post("/analysis", {"model": "SynthSys", "analyses": 5})
+        assert exc_info.value.status == 500
+        assert exc_info.value.body == {
+            "error": "internal error: TypeError",
+            "status": 500,
+        }
+        body = client.batch(
+            [{"op": "query", "model": "SynthSys", "path": 5}, {"op": "health"}]
+        )
+        assert body["results"][0]["status"] == 500
+        assert body["results"][1]["ok"] is True
+        assert client.stats()["observer"]["counters"]["service.internal_errors"] >= 2
+
     def test_bad_json_body_is_400(self, service):
         client, _, addr, _ = service
         import urllib.request

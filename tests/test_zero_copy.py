@@ -29,12 +29,8 @@ from repro.diagnostics import QueryError
 from repro.ir import IRModel, XirImageWarning, build_image, read_section_table
 from repro.model import from_document
 from repro.obs import Observer, use_observer
-from repro.runtime import (
-    query_all,
-    query_all_naive,
-    xpdl_init,
-    xpdl_init_from_model,
-)
+from repro.runtime import query_all, xpdl_init, xpdl_init_from_model
+from repro.runtime.paths import query_all_naive
 from repro.runtime.index import IRIndex
 from repro.xpdlxml import parse_xml
 
